@@ -4,7 +4,7 @@ drive both systems."""
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional
 
 from repro.baseline.node import BaselineNode
 from repro.config import BaselineConfig, ClusterConfig
@@ -130,40 +130,13 @@ class BaselineCluster:
             raise ConfigError("cluster has no workload to load data from")
         self.load(self.workload.initial_data(self.catalog))
 
-    def add_clients(
-        self,
-        profile: Union[ClientProfile, int, None] = None,
-        workload: Optional[Workload] = None,
-        think_time: float = 0.0,
-        max_txns: Optional[int] = None,
-        *,
-        per_partition: Optional[int] = None,
-    ) -> List[ClosedLoopClient]:
+    def add_clients(self, profile: ClientProfile) -> List[ClosedLoopClient]:
         """Create clients from a :class:`ClientProfile` (closed-loop only;
         the baseline has no admission front-end to absorb open-loop
-        overload). The legacy kwargs form works through the same
-        deprecation shim as :meth:`CalvinCluster.add_clients`."""
+        overload)."""
         if not isinstance(profile, ClientProfile):
-            from repro.core.cluster import (
-                _legacy_add_clients_args,
-                _warn_legacy_add_clients,
-            )
-
-            _warn_legacy_add_clients(
-                _legacy_add_clients_args(
-                    profile, workload, think_time, max_txns, per_partition
-                )
-            )
-            count = per_partition if per_partition is not None else profile
-            if not isinstance(count, int):
-                raise ConfigError(
-                    "add_clients needs a ClientProfile or a per-partition count"
-                )
-            profile = ClientProfile(
-                per_partition=count,
-                workload=workload,
-                think_time=think_time,
-                max_txns=max_txns,
+            raise ConfigError(
+                f"add_clients needs a ClientProfile, got {type(profile).__name__}"
             )
         profile.validate()
         if profile.mode != "closed":

@@ -43,7 +43,6 @@ Commands:
   [--partitions K]`` — the geo curves: WAN contention collapse over a
   routed multi-hop topology, and replica-local read throughput vs
   freshness; prints a deterministic digest over both tables.
-  (``--smoke`` still parses as a deprecated alias for ``--scale smoke``.)
 - ``bench elastic [--scale S] [--seed N] [--partitions K]
   [--policy P]`` — the elastic-reconfiguration sweep: drive a
   half-active cluster past its admission knee, then split a hot
@@ -75,9 +74,7 @@ byte-identical at any job count.
 
 The cross-command flags (``--seed``, ``--topology``, ``--sanitize``,
 ``--jobs``) are declared once in :func:`common_parent` and mounted per
-subcommand, so spellings, defaults and help text cannot drift; changed
-spellings keep working through a warn-once deprecation shim
-(:func:`_warn_deprecated_spelling`).
+subcommand, so spellings, defaults and help text cannot drift.
 """
 
 from __future__ import annotations
@@ -85,8 +82,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import sys
-import warnings
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.bench.io import save_csv, save_json
 
@@ -195,21 +191,6 @@ def config_from_args(args: argparse.Namespace, **overrides):
     )
     values.update(overrides)
     return ClusterConfig(**values)
-
-
-# Flag spellings that changed keep working through a warn-once shim.
-_warned_spellings: Set[str] = set()
-
-
-def _warn_deprecated_spelling(old: str, new: str) -> None:
-    if old in _warned_spellings:
-        return
-    _warned_spellings.add(old)
-    warnings.warn(
-        f"{old} is deprecated; use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -371,8 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     geo.add_argument("--scale", default="quick",
                      choices=("smoke", "quick", "full"))
-    geo.add_argument("--smoke", action="store_true",
-                     help="deprecated alias for --scale smoke")
     geo.add_argument("--partitions", type=int, default=2)
     geo.add_argument("--json", metavar="PREFIX",
                      help="also write the tables as PREFIX-<experiment>.json")
@@ -838,14 +817,11 @@ def cmd_bench_saturation(args: argparse.Namespace) -> int:
 def cmd_bench_geo(args: argparse.Namespace) -> int:
     from repro.bench import geo
 
-    if args.smoke:
-        _warn_deprecated_spelling("bench geo --smoke", "--scale smoke")
-    scale = "smoke" if args.smoke else args.scale
-    print(f"geo curves ({scale} scale, seed {args.seed}, "
+    print(f"geo curves ({args.scale} scale, seed {args.seed}, "
           f"{args.topology} topology, {args.partitions} partitions)...",
           file=sys.stderr)
     collapse, reads, digest = geo.run(
-        scale=scale,
+        scale=args.scale,
         seed=args.seed,
         topology=args.topology,
         partitions=args.partitions,
@@ -973,8 +949,7 @@ def cmd_bench(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         print(f"  {name}: {record['events_per_sec']:,.0f} ev/s, "
               f"{record['txns_per_sec']:,.0f} txn/s "
               f"({record['events']} events in {record['wall_seconds']:.2f}s)")
-    print(f"  calibration: {result['calibration_ops_per_sec']:,.0f} ops/s "
-          f"(accel={'on' if result['accel'] else 'off'})")
+    print(f"  calibration: {result['calibration_ops_per_sec']:,.0f} ops/s")
     if not args.no_write:
         with open(args.out, "w") as handle:
             json.dump(result, handle, indent=2, sort_keys=True)

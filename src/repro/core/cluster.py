@@ -8,7 +8,6 @@ examples usually go through the friendlier :class:`repro.core.api.CalvinDB`.
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Dict, Iterable, List, Optional, TYPE_CHECKING, Tuple, Union
 
 from repro.analysis.auditor import FootprintAuditor, adopt_auditor, audit_armed
@@ -47,43 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 HistoryEntry = Tuple[GlobalSeq, Transaction, TxnStatus]
 
 AnyClient = Union[ClosedLoopClient, OpenLoopClient]
-
-# The old add_clients(n, **kwargs) form warns once per process.
-_warned_legacy_add_clients = False
-
-
-def _legacy_add_clients_args(
-    profile, workload, think_time, max_txns, per_partition
-) -> List[str]:
-    """The legacy argument names a non-profile add_clients call used."""
-    offending = []
-    if profile is not None:
-        offending.append("per_partition (positional)")
-    if per_partition is not None:
-        offending.append("per_partition")
-    if workload is not None:
-        offending.append("workload")
-    if think_time != 0.0:
-        offending.append("think_time")
-    if max_txns is not None:
-        offending.append("max_txns")
-    return offending
-
-
-def _warn_legacy_add_clients(offending: Iterable[str] = ()) -> None:
-    global _warned_legacy_add_clients
-    if _warned_legacy_add_clients:
-        return
-    _warned_legacy_add_clients = True
-    used = ", ".join(offending) or "per_partition"
-    warnings.warn(
-        f"add_clients(per_partition, **kwargs) is deprecated (legacy "
-        f"argument(s): {used}); pass a repro.ClientProfile instead: "
-        "add_clients(ClientProfile(...))",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
 
 class CalvinCluster:
     """A fully assembled simulated Calvin deployment."""
@@ -332,39 +294,11 @@ class CalvinCluster:
         for node in self.nodes.values():
             node.start()
 
-    def add_clients(
-        self,
-        profile: Union[ClientProfile, int, None] = None,
-        workload: Optional[Workload] = None,
-        think_time: float = 0.0,
-        max_txns: Optional[int] = None,
-        *,
-        per_partition: Optional[int] = None,
-    ) -> List[AnyClient]:
-        """Create one client population described by a :class:`ClientProfile`.
-
-        The legacy ``add_clients(n, workload=..., think_time=...,
-        max_txns=...)`` form still works through a deprecation shim that
-        maps the old kwargs onto a closed-loop profile (and warns once
-        per process).
-        """
+    def add_clients(self, profile: ClientProfile) -> List[AnyClient]:
+        """Create one client population described by a :class:`ClientProfile`."""
         if not isinstance(profile, ClientProfile):
-            # Deprecation shim: the old kwargs-soup form.
-            _warn_legacy_add_clients(
-                _legacy_add_clients_args(
-                    profile, workload, think_time, max_txns, per_partition
-                )
-            )
-            count = per_partition if per_partition is not None else profile
-            if not isinstance(count, int):
-                raise ConfigError(
-                    "add_clients needs a ClientProfile or a per-partition count"
-                )
-            profile = ClientProfile(
-                per_partition=count,
-                workload=workload,
-                think_time=think_time,
-                max_txns=max_txns,
+            raise ConfigError(
+                f"add_clients needs a ClientProfile, got {type(profile).__name__}"
             )
         profile.validate()
         workload = profile.workload or self.workload

@@ -9,7 +9,7 @@ methodology:
 
 - :class:`ClientProfile` — one typed description of a client population,
   shared by closed-loop and open-loop clients, the benchmark harness and
-  the CLI flags (replaces the old ``add_clients(n, **kwargs)`` soup).
+  the CLI flags.
 - :class:`OpenLoopClient` — submits transactions on an *arrival process*
   (Poisson, uniform or bursty, driven by the deterministic sim RNG)
   regardless of how many are still outstanding, so offered load is an

@@ -12,10 +12,12 @@ This is the kernel-level hook the fault injector uses to crash and
 restart a node's timer-driven processes without losing determinism.
 
 The dispatch loop is the hottest code in the repository: every message
-hop, CPU charge, and timer in a run passes through it. ``run`` therefore
-binds the heap, ``heappop`` and the suspended-owner set to locals and
-skips the park branch entirely while no owner is suspended (the common
-case — fault-free runs never pay for crash support).
+hop, CPU charge, and timer in a run passes through it. There is one
+copy of it, ``Simulator._dispatch``, behind both ``run`` and
+``run_until_triggered``. It binds the heap, ``heappop`` and the
+suspended-owner set to locals and skips the park branch entirely while
+no owner is suspended (the common case — fault-free runs never pay for
+crash support).
 """
 
 from __future__ import annotations
@@ -35,12 +37,16 @@ from typing import (
     Tuple,
 )
 
-from repro.accel import dispatch_core as _dispatch_core
 from repro.errors import SimulationError
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
 
 HeapEntry = Tuple[float, int, Callable[..., None], tuple, Optional[Hashable]]
+
+# Why Simulator._dispatch returned.
+_DRAINED = "drained"
+_HORIZON = "horizon"
+_STOPPED = "stopped"
 
 
 class Simulator:
@@ -187,62 +193,11 @@ class Simulator:
         ``until``, or after ``max_events`` dispatches (a runaway guard).
         Returns the final virtual time.
         """
-        if self._running:
-            raise SimulationError("Simulator.run is not reentrant")
-        core = _dispatch_core()
-        self._running = True
-        if core is not None:
-            # Accelerated path: the loop below, compiled. Bit-identical
-            # by contract (tests/test_accel.py); the reentrancy guard
-            # and sanitizer stay out here so both paths share them.
-            sanitizer = self._sanitizer
-            if sanitizer is not None:
-                sanitizer.__enter__()
-            try:
-                core.run_loop(self, until, max_events)
-            finally:
-                self._running = False
-                if sanitizer is not None:
-                    sanitizer.__exit__(None, None, None)
-            return self.now
         horizon = inf if until is None else until
-        budget = inf if max_events is None else max_events
-        heap = self._heap
-        pop = heapq.heappop
-        suspended = self._suspended
-        executed = 0
-        sanitizer = self._sanitizer
-        if sanitizer is not None:
-            sanitizer.__enter__()
-        try:
-            while heap:
-                entry = heap[0]
-                when = entry[0]
-                if when > horizon:
-                    self.now = until  # type: ignore[assignment]
-                    break
-                pop(heap)
-                self.now = when
-                if suspended:
-                    owner = entry[4]
-                    if owner is not None and owner in suspended:
-                        self._parked.setdefault(owner, []).append((entry[2], entry[3]))
-                        continue
-                entry[2](*entry[3])
-                executed += 1
-                if executed >= budget:
-                    raise SimulationError(
-                        f"simulation exceeded max_events={max_events}; "
-                        "likely a livelock in the model"
-                    )
-            else:
-                if until is not None and until > self.now:
-                    self.now = until
-        finally:
-            self.events_executed += executed
-            self._running = False
-            if sanitizer is not None:
-                sanitizer.__exit__(None, None, None)
+        if self._dispatch(horizon, max_events, None) is _HORIZON:
+            self.now = until  # type: ignore[assignment]
+        elif until is not None and until > self.now:
+            self.now = until
         return self.now
 
     def run_until_triggered(
@@ -253,40 +208,60 @@ class Simulator:
     ) -> Any:
         """Run until ``event`` triggers; return its value (raise if it failed).
 
+        "Triggers" means its callbacks have run, so waiters on ``event``
+        see its value before this returns. Later entries stay queued.
         ``max_events`` bounds dispatches exactly like :meth:`run` — a
         runaway guard for drains that never converge.
         """
-        core = _dispatch_core()
-        if core is not None:
-            sanitizer = self._sanitizer
-            if sanitizer is not None:
-                sanitizer.__enter__()
-            try:
-                core.run_until_loop(self, event, limit, max_events)
-            finally:
-                if sanitizer is not None:
-                    sanitizer.__exit__(None, None, None)
-            if event.ok:
-                return event.value
-            raise event.value
         horizon = inf if limit is None else limit
+        reason = self._dispatch(horizon, max_events, event)
+        if reason is _DRAINED:
+            raise SimulationError("event queue drained before event triggered")
+        if reason is _HORIZON:
+            raise SimulationError(f"event not triggered before t={limit}")
+        if event.ok:
+            return event.value
+        raise event.value
+
+    def _dispatch(
+        self, horizon: float, max_events: Optional[int], stop: Optional[Event]
+    ) -> str:
+        """The dispatch loop behind :meth:`run` and :meth:`run_until_triggered`.
+
+        Pops entries in ``(time, sequence)`` order until the queue is
+        empty (returns ``_DRAINED``), the next entry lies past
+        ``horizon`` (``_HORIZON``), or ``stop`` has run its callbacks
+        (``_STOPPED``); raises after ``max_events`` dispatches.
+
+        The only per-event test is ``executed >= check``. Without a stop
+        event ``check`` is the budget, so :meth:`run` pays nothing for
+        the stop support; with one, ``check`` trails ``executed`` by one
+        and every dispatch looks at ``stop``.
+        """
+        if self._running:
+            raise SimulationError("Simulator.run is not reentrant")
         budget = inf if max_events is None else max_events
+        check = budget if stop is None else 1
         heap = self._heap
         pop = heapq.heappop
         suspended = self._suspended
         executed = 0
+        reason = _DRAINED
+        self._running = True
         sanitizer = self._sanitizer
         if sanitizer is not None:
             sanitizer.__enter__()
         try:
-            while not event.triggered or event._callbacks is not None:
-                if not heap:
-                    raise SimulationError("event queue drained before event triggered")
+            if stop is not None and stop._callbacks is None:
+                return _STOPPED
+            while heap:
                 entry = heap[0]
-                if entry[0] > horizon:
-                    raise SimulationError(f"event not triggered before t={limit}")
+                when = entry[0]
+                if when > horizon:
+                    reason = _HORIZON
+                    break
                 pop(heap)
-                self.now = entry[0]
+                self.now = when
                 if suspended:
                     owner = entry[4]
                     if owner is not None and owner in suspended:
@@ -294,18 +269,22 @@ class Simulator:
                         continue
                 entry[2](*entry[3])
                 executed += 1
-                if executed >= budget:
-                    raise SimulationError(
-                        f"simulation exceeded max_events={max_events}; "
-                        "likely a livelock in the model"
-                    )
+                if executed >= check:
+                    if executed >= budget:
+                        raise SimulationError(
+                            f"simulation exceeded max_events={max_events}; "
+                            "likely a livelock in the model"
+                        )
+                    if stop._callbacks is None:  # type: ignore[union-attr]
+                        reason = _STOPPED
+                        break
+                    check = executed + 1
         finally:
             self.events_executed += executed
+            self._running = False
             if sanitizer is not None:
                 sanitizer.__exit__(None, None, None)
-        if event.ok:
-            return event.value
-        raise event.value
+        return reason
 
     @property
     def pending_events(self) -> int:

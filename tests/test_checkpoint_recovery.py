@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import CalvinCluster, ClusterConfig, ConfigError, Microbenchmark
+from repro import CalvinCluster, ClientProfile, ClusterConfig, ConfigError, Microbenchmark
 from repro.errors import RecoveryError
 
 
@@ -11,7 +11,7 @@ def run_with_checkpoint(mode, seed=17, partitions=2, max_txns=50):
     config = ClusterConfig(num_partitions=partitions, seed=seed)
     cluster = CalvinCluster(config, workload=workload, record_history=False)
     cluster.load_workload_data()
-    cluster.add_clients(8, max_txns=max_txns)
+    cluster.add_clients(ClientProfile(per_partition=8, max_txns=max_txns))
     done = cluster.schedule_checkpoint(at_time=0.12, mode=mode)
     cluster.run(duration=0.6)
     cluster.quiesce()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import CalvinCluster, ClusterConfig, Microbenchmark
+from repro import CalvinCluster, ClientProfile, ClusterConfig, Microbenchmark
 
 
 def make_cluster(**client_kwargs):
@@ -11,7 +11,7 @@ def make_cluster(**client_kwargs):
         ClusterConfig(num_partitions=1, seed=2), workload=workload
     )
     cluster.load_workload_data()
-    cluster.add_clients(1, **client_kwargs)
+    cluster.add_clients(ClientProfile(per_partition=1, **client_kwargs))
     return cluster
 
 

@@ -1,6 +1,13 @@
 """Deep determinism: identical runs are identical at the event level."""
 
-from repro import CalvinCluster, ClusterConfig, FaultPlan, Microbenchmark, TpccWorkload
+from repro import (
+    CalvinCluster,
+    ClientProfile,
+    ClusterConfig,
+    FaultPlan,
+    Microbenchmark,
+    TpccWorkload,
+)
 
 
 def build_and_run(seed=33, workload_factory=None):
@@ -11,7 +18,7 @@ def build_and_run(seed=33, workload_factory=None):
         ClusterConfig(num_partitions=2, seed=seed), workload=factory()
     )
     cluster.load_workload_data()
-    cluster.add_clients(6, max_txns=15)
+    cluster.add_clients(ClientProfile(per_partition=6, max_txns=15))
     cluster.run(duration=0.2)
     cluster.quiesce()
     return cluster
@@ -61,7 +68,7 @@ def build_and_run_replicated(seed=55, fault_plan=None):
         fault_plan=fault_plan,
     )
     cluster.load_workload_data()
-    cluster.add_clients(4, max_txns=12)
+    cluster.add_clients(ClientProfile(per_partition=4, max_txns=12))
     cluster.run(duration=0.6)
     cluster.quiesce()
     return cluster

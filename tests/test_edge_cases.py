@@ -1,6 +1,6 @@
 """Targeted edge cases across layers, added after the main suites."""
 
-from repro import CalvinCluster, ClusterConfig, Microbenchmark
+from repro import CalvinCluster, ClientProfile, ClusterConfig, Microbenchmark
 from repro.sim import AnyOf, Simulator, Timeout
 
 
@@ -46,7 +46,7 @@ class TestDiskStallBlocksConflicts:
         )
         cluster = CalvinCluster(config, workload=workload)
         cluster.load_workload_data()
-        cluster.add_clients(4, max_txns=5)
+        cluster.add_clients(ClientProfile(per_partition=4, max_txns=5))
         cluster.run(duration=0.2)
         cluster.quiesce()
         # All transactions share the single hot key, so every one queues

@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from repro import CalvinCluster, ClusterConfig, Microbenchmark
+from repro import CalvinCluster, ClientProfile, ClusterConfig, Microbenchmark
 from repro.core import checkers
 from repro.faults import random_plan
 
@@ -56,7 +56,7 @@ def run_chaos(config_kwargs, seed, plan_seed=None, duration=0.7, monitor=None):
         monitor_interval=monitor,
     )
     cluster.load_workload_data()
-    cluster.add_clients(3, max_txns=12)
+    cluster.add_clients(ClientProfile(per_partition=3, max_txns=12))
     cluster.run(duration=duration)
     cluster.quiesce()
     return cluster
@@ -94,7 +94,7 @@ class TestChaosSmoke:
                 config, workload=build_workload(), monitor_interval=0.05
             )
             cluster.load_workload_data()
-            cluster.add_clients(4, max_txns=20)
+            cluster.add_clients(ClientProfile(per_partition=4, max_txns=20))
             cluster.run(duration=0.8)
             cluster.quiesce()
             return cluster
@@ -161,7 +161,7 @@ class TestChaosSweep:
             config, workload=build_workload(), monitor_interval=0.05
         )
         cluster.load_workload_data()
-        cluster.add_clients(3, max_txns=12)
+        cluster.add_clients(ClientProfile(per_partition=3, max_txns=12))
         cluster.run(duration=0.7)
         cluster.quiesce()
         assert_invariants(cluster)

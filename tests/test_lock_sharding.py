@@ -10,6 +10,7 @@ import pytest
 
 from repro import (
     CalvinCluster,
+    ClientProfile,
     ClusterConfig,
     ConfigError,
     Microbenchmark,
@@ -56,7 +57,7 @@ class TestShardedCorrectness:
         config = ClusterConfig(num_partitions=2, seed=9, lock_manager_shards=4)
         cluster = CalvinCluster(config, workload=workload, record_history=False)
         cluster.load_workload_data()
-        cluster.add_clients(6, max_txns=30)
+        cluster.add_clients(ClientProfile(per_partition=6, max_txns=30))
         done = cluster.schedule_checkpoint(at_time=0.1, mode="zigzag")
         cluster.run(duration=0.5)
         cluster.quiesce()

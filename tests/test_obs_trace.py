@@ -1,6 +1,6 @@
 """Integration tests: span coverage, trace determinism, zero overhead."""
 
-from repro import CalvinCluster, ClusterConfig, Microbenchmark
+from repro import CalvinCluster, ClientProfile, ClusterConfig, Microbenchmark
 from repro.baseline.cluster import BaselineCluster
 from repro.obs import CAT_DEVICE, CAT_NODE, CAT_TXN, SpanKind, TraceRecorder
 
@@ -21,7 +21,7 @@ def traced_calvin(seed=9, mp_fraction=0.3, replicas=1, fault_profile=None,
                               cold_set_size=100)
     cluster = CalvinCluster(config, workload=workload, tracer=recorder)
     cluster.load_workload_data()
-    cluster.add_clients(4, max_txns=10)
+    cluster.add_clients(ClientProfile(per_partition=4, max_txns=10))
     cluster.run(duration=duration)
     cluster.quiesce()
     return cluster, recorder
@@ -34,7 +34,7 @@ def traced_baseline(seed=9, mp_fraction=0.3):
                               cold_set_size=100)
     cluster = BaselineCluster(config, workload=workload, tracer=recorder)
     cluster.load_workload_data()
-    cluster.add_clients(4, max_txns=10)
+    cluster.add_clients(ClientProfile(per_partition=4, max_txns=10))
     cluster.run(duration=0.3)
     cluster.quiesce()
     return cluster, recorder
@@ -82,7 +82,7 @@ class TestSpanCoverage:
             workload=workload, tracer=tracer,
         )
         cluster.load_workload_data()
-        cluster.add_clients(4, max_txns=10)
+        cluster.add_clients(ClientProfile(per_partition=4, max_txns=10))
         cluster.run(duration=0.3)
         cluster.quiesce()
         disk_spans = tracer.spans_of(SpanKind.DISK)
@@ -102,7 +102,7 @@ class TestSpanCoverage:
                 record_history=False, tracer=tracer,
             )
             cluster.load_workload_data()
-            cluster.add_clients(8, max_txns=30)
+            cluster.add_clients(ClientProfile(per_partition=8, max_txns=30))
             done = cluster.schedule_checkpoint(at_time=0.12, mode=mode)
             cluster.run(duration=0.6)
             cluster.quiesce()

@@ -71,6 +71,7 @@ class TestRun:
         sim.run(until=2.0)
         assert fired == ["a"]
         assert sim.now == 2.0
+        assert sim.events_executed == 1
         sim.run()
         assert fired == ["a", "b"]
 
@@ -83,8 +84,9 @@ class TestRun:
             sim.schedule(0.001, loop)
 
         sim.schedule(0.0, loop)
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="exceeded max_events=100; likely a livelock"):
             sim.run(max_events=100)
+        assert sim.events_executed == 100
 
     def test_not_reentrant(self, sim):
         def recurse():
@@ -93,6 +95,30 @@ class TestRun:
         sim.schedule(0.0, recurse)
         with pytest.raises(SimulationError):
             sim.run()
+
+    def test_run_until_triggered_inside_run_rejected(self, sim):
+        event = sim.timeout(1.0)
+
+        def nested():
+            sim.run_until_triggered(event)
+
+        sim.schedule(0.1, nested)
+        with pytest.raises(SimulationError, match="not reentrant"):
+            sim.run()
+        # The nested call dispatched nothing: the timeout is still queued.
+        assert not event.triggered
+        assert sim.pending_events == 1
+
+    def test_run_inside_run_until_triggered_rejected(self, sim):
+        event = sim.event()
+        sim.schedule(0.1, lambda: sim.run(until=5.0))
+        sim.schedule(0.2, event.succeed, "done")
+        with pytest.raises(SimulationError, match="not reentrant"):
+            sim.run_until_triggered(event)
+        assert sim.now == pytest.approx(0.1)
+        # The guard resets, so the simulator stays usable afterwards.
+        assert sim.run_until_triggered(event) == "done"
+        assert sim.now == pytest.approx(0.2)
 
     def test_events_executed_counter(self, sim):
         for _ in range(5):
@@ -104,8 +130,15 @@ class TestRun:
 class TestRunUntilTriggered:
     def test_returns_value(self, sim):
         event = sim.timeout(3.0, "payload")
+        seen = []
+        event.add_callback(lambda ev: seen.append(ev.value))
+        sim.schedule(5.0, lambda: None)
         assert sim.run_until_triggered(event) == "payload"
         assert sim.now == pytest.approx(3.0)
+        # Waiters ran before the return; later entries stay queued.
+        assert seen == ["payload"]
+        assert sim.events_executed == 2
+        assert sim.pending_events == 1
 
     def test_raises_on_failure(self, sim):
         event = sim.event()
@@ -115,13 +148,13 @@ class TestRunUntilTriggered:
 
     def test_drained_queue_is_error(self, sim):
         event = sim.event()  # never triggered
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="event queue drained before event triggered"):
             sim.run_until_triggered(event)
 
     def test_limit_enforced(self, sim):
         event = sim.timeout(10.0)
         sim.timeout(20.0)
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match=r"event not triggered before t=5\.0"):
             sim.run_until_triggered(event, limit=5.0)
 
     def test_max_events_guard(self, sim):
@@ -131,8 +164,18 @@ class TestRunUntilTriggered:
             sim.schedule(0.001, loop)
 
         sim.schedule(0.0, loop)
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="max_events=50"):
             sim.run_until_triggered(event, max_events=50)
+        assert sim.events_executed == 50
+
+    def test_already_processed_event_returns_without_dispatch(self, sim):
+        event = sim.timeout(1.0, "v")
+        sim.run()
+        sim.schedule(1.0, lambda: None)
+        executed = sim.events_executed
+        assert sim.run_until_triggered(event) == "v"
+        assert sim.events_executed == executed
+        assert sim.pending_events == 1
 
 
 class TestBulkScheduling:
