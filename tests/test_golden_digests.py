@@ -14,7 +14,14 @@ commit and say why in its message.
 
 from __future__ import annotations
 
-from repro import CalvinCluster, ClientProfile, ClusterConfig, Microbenchmark
+from repro import (
+    CalvinCluster,
+    ClientProfile,
+    ClusterAdmin,
+    ClusterConfig,
+    Microbenchmark,
+    TpccWorkload,
+)
 from repro.baseline.cluster import BaselineCluster
 from repro.obs import TraceRecorder
 
@@ -42,6 +49,31 @@ GOLDEN_GEO = (
     "7536cd7faa29539d178f545f07e5f20f66d944f46f8d3e379f35902a3007f7dc",
     7856,
     80,   # same commit count again: geo transport moves time, not effects
+)
+
+# The rows below pin admission and routing paths the five above miss:
+# sharded lock admission, a live key-range split (armed routing
+# override plus migration), shared read locks (TPC-C), and writeset
+# shipping to a replica that hosts only part of the cluster.
+GOLDEN_SHARDED = (
+    "1c227d4747440e425ecf4640f28ab92684ca7bd0c71ba18f8efe643760d358ae",
+    2026,
+    80,
+)
+GOLDEN_SPLIT = (
+    "813bd4c5594190b77e818c86ba99c687c3d6cfc8edba9e9f4e0eeabdd87763bb",
+    3931,
+    121,
+)
+GOLDEN_TPCC = (
+    "30d25849eb433c7298a954a59e6ed95787d77beb4963d908faa0bf3623b9311e",
+    1496,
+    79,
+)
+GOLDEN_PARTIAL = (
+    "a1d80f88728a17ee614cca2c2242ec9695a70350b3ac2017b03f3656580706e4",
+    2221,
+    80,
 )
 
 
@@ -152,3 +184,42 @@ def test_golden_digests_unchanged_with_idle_control_plane():
         seed=7, replicas=2, fault_profile="chaos-mix", duration=0.5,
         idle_admin=True,
     ) == GOLDEN_CHAOS
+
+
+def _run_config(config, workload=None, max_txns=10, duration=0.3, split=False):
+    tracer = TraceRecorder()
+    cluster = CalvinCluster(config, workload=workload or _workload(), tracer=tracer)
+    cluster.load_workload_data()
+    cluster.add_clients(ClientProfile(per_partition=4, max_txns=max_txns))
+    if split:
+        ClusterAdmin(cluster).split(0, fraction=0.5)
+    cluster.run(duration=duration)
+    cluster.quiesce()
+    return tracer.digest(), cluster.sim.events_executed, cluster.metrics.committed
+
+
+def test_golden_sharded_admission_digest():
+    config = ClusterConfig(num_partitions=2, lock_manager_shards=3, seed=2012)
+    assert _run_config(config) == GOLDEN_SHARDED
+
+
+def test_golden_split_digest():
+    config = ClusterConfig(num_partitions=4, active_partitions=2, seed=2012)
+    observed = _run_config(config, max_txns=15, duration=0.4, split=True)
+    assert observed == GOLDEN_SPLIT
+
+
+def test_golden_tpcc_digest():
+    config = ClusterConfig(num_partitions=2, seed=2012)
+    assert _run_config(config, workload=TpccWorkload()) == GOLDEN_TPCC
+
+
+def test_golden_partial_replication_digest():
+    config = ClusterConfig(
+        num_partitions=2,
+        num_replicas=2,
+        replication_mode="async",
+        partial_hosting=((0, 1), (1,)),
+        seed=2012,
+    )
+    assert _run_config(config) == GOLDEN_PARTIAL
