@@ -40,6 +40,15 @@ class BaselineCluster:
         config.validate()
         if config.num_replicas != 1:
             raise ConfigError("the baseline system models a single replica")
+        # Both flags act on the sequencer or the replica-0 schedulers,
+        # which the baseline does not have.
+        if config.admission_policy != "none":
+            raise ConfigError(
+                "admission_policy is not supported by the baseline engine "
+                f"(got {config.admission_policy!r})"
+            )
+        if config.audit_footprints:
+            raise ConfigError("audit_footprints is not supported by the baseline engine")
         self.config = config
         self.baseline = baseline or BaselineConfig()
         self.baseline.validate()

@@ -139,11 +139,10 @@ class CalvinCluster:
         # start but their sequencers stay dormant until the control
         # plane activates them (repro.reconfig.ClusterAdmin.add_node).
         self.reconfig_admin: Optional[Any] = None
-        if self.catalog.has_reconfig:
-            active = set(self.catalog.initial_origins)
-            for node_id, node in self.nodes.items():
-                if node_id.partition not in active:
-                    node.sequencer.dormant = True
+        active = self.catalog.initial_origins
+        for node_id, node in self.nodes.items():
+            if node_id.partition not in active:
+                node.sequencer.dormant = True
 
         self.clients: List[AnyClient] = []
         self.checkpoints: Dict[int, CheckpointSnapshot] = {}
@@ -252,11 +251,7 @@ class CalvinCluster:
 
     def analytics_read(self, key: Key) -> Any:
         """Unsequenced snapshot read (OLLP reconnaissance path)."""
-        catalog = self.catalog
-        if catalog.has_reconfig:
-            partition = catalog.partition_of_at(key, self.current_epoch())
-        else:
-            partition = catalog.partition_of(key)
+        partition = self.catalog.partition_of_at(key, self.current_epoch())
         return self.node(0, partition).store.get(key)
 
     # -- data loading -----------------------------------------------------------
@@ -305,14 +300,10 @@ class CalvinCluster:
         if workload is None:
             raise ConfigError("no workload for clients")
         created: List[AnyClient] = []
-        # Under elastic reconfiguration only active origins accept
-        # input; spares get their clients when the control plane (or
-        # the autoscaler) redirects traffic to them.
-        if self.catalog.has_reconfig:
-            partitions: Iterable[int] = self.catalog.initial_origins
-        else:
-            partitions = range(self.config.num_partitions)
-        for partition in partitions:
+        # Only active origins accept input; spares get their clients
+        # when the control plane (or the autoscaler) redirects traffic
+        # to them.
+        for partition in self.catalog.initial_origins:
             for _ in range(profile.per_partition):
                 index = len(self.clients)
                 client: AnyClient
@@ -515,11 +506,7 @@ class CalvinCluster:
     def snapshot_read(self, key: Key, replica: int = 0) -> Any:
         """A low-consistency read served by any replica (possibly stale —
         the "multiple consistency levels" the abstract mentions)."""
-        catalog = self.catalog
-        if catalog.has_reconfig:
-            partition = catalog.partition_of_at(key, self.current_epoch())
-        else:
-            partition = catalog.partition_of(key)
+        partition = self.catalog.partition_of_at(key, self.current_epoch())
         return self.node(replica, partition).store.get(key)
 
     def admission_stats(self) -> Dict[str, int]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.config import ClusterConfig
 from repro.errors import ConfigError
@@ -36,6 +36,26 @@ def is_migration_txn(txn) -> bool:
 def migration_route(txn) -> Tuple[int, int]:
     """(source, dest) partitions of a migration transaction."""
     return txn.args[1], txn.args[2]
+
+
+class Route(NamedTuple):
+    """Where one transaction runs under one routing version.
+
+    Computed once per (transaction, routing version) by
+    :meth:`Catalog.route` and shared: equal routes are interned per
+    catalog, so the input log's transactions all point at a handful of
+    route objects instead of each holding its own partition sets.
+    """
+
+    # Partitions holding any key the transaction touches.
+    participants: FrozenSet[int]
+    # Partitions that execute the logic and apply writes: the write-set
+    # partitions, or the lowest participant of a read-only transaction.
+    active: FrozenSet[int]
+    # The active participant that reports the result to the client.
+    reply: int
+    # Partitions holding read-set keys (they serve remote reads).
+    read_sources: FrozenSet[int]
 
 
 @dataclass(frozen=True, order=True)
@@ -88,10 +108,7 @@ class Catalog:
         # -- elastic reconfiguration (repro.reconfig) --------------------
         # Epoch-keyed routing overrides and origin membership, both
         # versioned: entry i covers every epoch >= its effective epoch.
-        # ``has_reconfig`` stays False until spares are configured or
-        # the first override / membership change is armed; every hot
-        # path keeps the static fast path while it is False, so an idle
-        # cluster is byte-identical to the pre-reconfig code.
+        # A static cluster is routing version 0 with one origin set.
         active = config.active_partitions
         initial = config.num_partitions if active is None else active
         self._origin_epochs: List[int] = [0]
@@ -99,7 +116,8 @@ class Catalog:
         self._override_epochs: List[int] = []
         self._override_maps: List[Dict[Key, int]] = []
         self._overridden_keys: Set[Key] = set()
-        self.has_reconfig: bool = active is not None
+        # Interned routes (see Route).
+        self._routes: Dict[Route, Route] = {}
 
     @property
     def num_partitions(self) -> int:
@@ -231,7 +249,6 @@ class Catalog:
         else:
             self._origin_epochs.append(effective_epoch)
             self._origin_sets.append(origins)
-        self.has_reconfig = True
 
     def arm_override(self, effective_epoch: int, moves: Dict[Key, int]) -> None:
         """Route each key in ``moves`` to a new partition from
@@ -261,11 +278,19 @@ class Catalog:
             self._override_epochs.append(effective_epoch)
             self._override_maps.append({**base, **moves})
         self._overridden_keys.update(moves)
-        self.has_reconfig = True
 
     def routing_version_at(self, epoch: int) -> int:
         """Index of the routing version covering ``epoch`` (0 = static)."""
         return bisect_right(self._override_epochs, epoch)
+
+    def keys_on(self, keys, partition: int, epoch: int) -> Tuple[Key, ...]:
+        """The keys of ``keys`` held by ``partition`` at ``epoch``, in
+        their given order (a participant's slice of a footprint)."""
+        if bisect_right(self._override_epochs, epoch):
+            partition_of_at = self.partition_of_at
+            return tuple(k for k in keys if partition_of_at(k, epoch) == partition)
+        partition_of = self.partition_of
+        return tuple(k for k in keys if partition_of(k) == partition)
 
     def partition_of_at(self, key: Key, epoch: int) -> int:
         """Partition holding ``key`` under the routing of ``epoch``."""
@@ -284,46 +309,57 @@ class Catalog:
         partition_of_at = self.partition_of_at
         return {partition_of_at(key, epoch) for key in keys}
 
-    def participants_at(self, txn, epoch: int) -> FrozenSet[int]:
-        """Epoch-aware :meth:`Transaction.participants`.
+    def route(self, txn, epoch: int) -> Route:
+        """The :class:`Route` of ``txn`` sequenced in ``epoch``.
 
-        A migration transaction's participants are pinned to its
+        Memoised on the transaction per routing version, so the
+        sequencer, every participant's scheduler and the executor share
+        one derivation. A migration transaction is pinned to its
         (source, dest) pair: at its own epoch the moving keys already
         route to the destination, yet the data still lives on the
-        source, so both sides take part. Results for ordinary
-        transactions are memoised per routing version.
+        source, so both sides take part and both are active.
         """
+        version = bisect_right(self._override_epochs, epoch)
+        memo = txn._route
+        if memo is not None and memo[0] is self and memo[1] == version:
+            return memo[2]
         if txn.procedure == MIGRATION_PROC:
-            return frozenset(migration_route(txn))
-        version = self.routing_version_at(epoch)
-        cache = txn._participants_at_cache
-        if cache is not None and cache[0] is self and cache[1] == version:
-            return cache[2]
-        parts = frozenset(self.partitions_of_at(txn.all_keys(), epoch))
-        if not parts:
-            raise ConfigError(f"transaction {txn.txn_id} has an empty footprint")
-        if txn.write_set and not txn.read_set <= txn.write_set:
-            active = frozenset(self.partitions_of_at(txn.write_set, epoch))
-        elif txn.write_set:
-            active = parts
+            source, dest = migration_route(txn)
+            pair = frozenset((source, dest))
+            route = Route(pair, pair, min(pair), frozenset((source,)))
         else:
-            active = frozenset((min(parts),))
-        object.__setattr__(
-            txn, "_participants_at_cache", (self, version, parts, active)
-        )
-        return parts
+            read_set, write_set = txn.read_set, txn.write_set
+            if version:
+                reads = frozenset(self.partitions_of_at(read_set, epoch))
+                writes = frozenset(self.partitions_of_at(write_set, epoch))
+            else:
+                reads = frozenset(self.partitions_of(read_set))
+                writes = (
+                    reads if write_set == read_set
+                    else frozenset(self.partitions_of(write_set))
+                )
+            participants = reads if writes is reads else reads | writes
+            if not participants:
+                raise ConfigError(f"transaction {txn.txn_id} has an empty footprint")
+            active = writes or frozenset((min(participants),))
+            route = Route(participants, active, min(active), reads)
+        route = self._routes.setdefault(route, route)
+        object.__setattr__(txn, "_route", (self, version, route))
+        return route
+
+    # One-line views over route(). Nothing in the package calls them;
+    # they stay because the benchmark's host-time ledger
+    # (simbench/ledger.py) wraps each Catalog routing method by name
+    # and fails to install when one is missing.
+
+    def participants_at(self, txn, epoch: int) -> FrozenSet[int]:
+        """Epoch-aware :meth:`Transaction.participants`."""
+        return self.route(txn, epoch).participants
 
     def active_participants_at(self, txn, epoch: int) -> FrozenSet[int]:
-        """Epoch-aware :meth:`Transaction.active_participants`.
-
-        Both sides of a migration are active: the destination applies
-        the copied values, the source purges them.
-        """
-        if txn.procedure == MIGRATION_PROC:
-            return frozenset(migration_route(txn))
-        self.participants_at(txn, epoch)
-        return txn._participants_at_cache[3]
+        """Epoch-aware :meth:`Transaction.active_participants`."""
+        return self.route(txn, epoch).active
 
     def reply_partition_at(self, txn, epoch: int) -> int:
         """Epoch-aware :meth:`Transaction.reply_partition`."""
-        return min(self.active_participants_at(txn, epoch))
+        return self.route(txn, epoch).reply

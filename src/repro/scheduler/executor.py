@@ -22,7 +22,6 @@ from repro.partition.catalog import (
     migration_route,
     node_address,
 )
-from repro.partition.partitioner import sorted_keys
 from repro.txn.context import TxnContext
 from repro.txn.result import TransactionResult, TxnStatus
 from repro.txn.transaction import SequencedTxn
@@ -46,18 +45,16 @@ def run_transaction(sched: "Scheduler", stxn: SequencedTxn):
     seq = stxn.seq
     mine = sched.node_id.partition
 
-    # Phase 1 — read/write set analysis.
-    has_reconfig = catalog.has_reconfig
-    if has_reconfig:
-        if is_migration_txn(txn):
-            # Control-plane key-range migration: its own two-sided
-            # copy/purge protocol (see run_migration below).
-            yield from run_migration(sched, stxn)
-            return
-        epoch = seq[0]
-        participants = catalog.participants_at(txn, epoch)
-    else:
-        participants = txn.participants(catalog)
+    # Phase 1 — read/write set analysis: done once per transaction (its
+    # Route) and once per participant (the slice admission derived).
+    if is_migration_txn(txn):
+        # Control-plane key-range migration: its own two-sided
+        # copy/purge protocol (see run_migration below).
+        yield from run_migration(sched, stxn)
+        return
+    local = sched.slices[seq]
+    route = local.route
+    participants = route.participants
     multipartition = len(participants) > 1
     if multipartition and sched.node_id.replica != 0:
         # Partial replication: a replica that does not host every
@@ -68,18 +65,7 @@ def run_transaction(sched: "Scheduler", stxn: SequencedTxn):
         if hosted is not None and not participants <= hosted:
             yield from apply_replicated(sched, stxn)
             return
-    if multipartition and has_reconfig:
-        partition_of_at = catalog.partition_of_at
-        local_read_keys = sorted_keys(
-            key for key in txn.read_set if partition_of_at(key, epoch) == mine
-        )
-    elif multipartition:
-        local_read_keys = sorted_keys(
-            key for key in txn.read_set if catalog.partition_of(key) == mine
-        )
-    else:
-        # Sole participant: the whole read set is local.
-        local_read_keys = txn.sorted_reads()
+    local_read_keys = local.reads
 
     tracer = sched.tracer
     replica, txn_id = sched.node_id.replica, txn.txn_id
@@ -109,10 +95,7 @@ def run_transaction(sched: "Scheduler", stxn: SequencedTxn):
     reads: Dict = local_values
     messages_received = 0
     if multipartition:
-        if has_reconfig:
-            active = catalog.active_participants_at(txn, epoch)
-        else:
-            active = txn.active_participants(catalog)
+        active = route.active
         is_active = mine in active
         cpu += costs.multipartition_overhead_cpu
         yield sim.timeout(cpu)
@@ -145,10 +128,7 @@ def run_transaction(sched: "Scheduler", stxn: SequencedTxn):
         # Phase 4 — collect remote read results from every other
         # partition holding read-set data. The worker is released for
         # the wait (threads block; CPUs don't), locks stay held.
-        if has_reconfig:
-            expected = catalog.partitions_of_at(txn.read_set, epoch) - {mine}
-        else:
-            expected = catalog.partitions_of(txn.read_set) - {mine}
+        expected = route.read_sources - {mine}
         if not expected.issubset(sched.remote_reads_for(seq)):
             wait_start = sim.now
             sched.workers.release()
@@ -205,18 +185,10 @@ def run_transaction(sched: "Scheduler", stxn: SequencedTxn):
     if not multipartition:
         # Sole participant: every write is local.
         local_writes = context.writes
-    elif has_reconfig:
-        partition_of_at = catalog.partition_of_at
-        local_writes = {
-            key: val
-            for key, val in context.writes.items()
-            if partition_of_at(key, epoch) == mine
-        }
     else:
+        local_set = local.writes
         local_writes = {
-            key: val
-            for key, val in context.writes.items()
-            if catalog.partition_of(key) == mine
+            key: val for key, val in context.writes.items() if key in local_set
         }
     cpu = (
         procedure.logic_cpu
@@ -257,10 +229,8 @@ def run_transaction(sched: "Scheduler", stxn: SequencedTxn):
             replica=replica, partition=mine, txn_id=txn_id, seq=seq,
         )
     sched.workers.release()
-    if multipartition and has_reconfig:
-        report = result if mine == catalog.reply_partition_at(txn, epoch) else None
-    elif multipartition:
-        report = result if mine == txn.reply_partition(catalog) else None
+    if multipartition:
+        report = result if mine == route.reply else None
     else:
         # Sole participant is by definition the reply partition.
         report = result
@@ -396,15 +366,13 @@ def apply_replicated(sched: "Scheduler", stxn: SequencedTxn):
     """
     sim = sched.sim
     costs = sched.config.costs
-    catalog = sched.catalog
     txn = stxn.txn
     seq = stxn.seq
     mine = sched.node_id.partition
     tracer = sched.tracer
     replica, txn_id = sched.node_id.replica, txn.txn_id
 
-    active = txn.active_participants(catalog)
-    if mine not in active:
+    if mine not in sched.slices[seq].route.active:
         # No writes can land on a passive participant; nothing to wait for.
         yield sched.workers.request()
         yield sim.timeout(costs.txn_base_cpu)

@@ -176,8 +176,8 @@ class DeterministicLockManager:
 
         The plan halves must be what acquire would build: write keys in
         sort-token order, then read-*only* keys in sort-token order. The
-        scheduler caches one plan per transaction so repeated admissions
-        skip the per-call set algebra and sorting.
+        scheduler builds it from its already sorted local slice, so
+        admission skips the per-call set algebra and sorting.
         """
         if stxn.seq <= self._last_acquired:
             raise SchedulerError(

@@ -16,14 +16,27 @@ cut of the global sequence.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Set, TYPE_CHECKING, Tuple
+from typing import (
+    AbstractSet,
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    TYPE_CHECKING,
+    Tuple,
+)
 
 from repro.config import ClusterConfig
 from repro.errors import SchedulerError
 from repro.net.messages import RemoteRead, SubBatch, WriteSetApply
 from repro.obs import CAT_EPOCH, NULL_RECORDER, SpanKind, TraceRecorder
-from repro.partition.catalog import Catalog, NodeId, is_migration_txn, node_address
-from repro.partition.partitioner import stable_hash
+from repro.partition.catalog import Catalog, NodeId, Route, is_migration_txn, node_address
+from repro.partition.partitioner import Key, stable_hash
 from repro.scheduler.executor import run_transaction
 from repro.scheduler.lockmanager import DeterministicLockManager
 from repro.sim.events import Event
@@ -39,9 +52,26 @@ SendFn = Callable[[Any, Any, int], None]
 CompletionHook = Callable[[SequencedTxn, Any], None]
 
 
-# Shared shard-index tuple for the dominant single-shard fast path —
-# avoids a fresh one-element list per admitted transaction.
+# Shared shard-index tuple for the single-shard (paper) design — avoids
+# a fresh one-element list per admitted transaction.
 _SOLE_SHARD = (0,)
+
+
+class LocalSlice(NamedTuple):
+    """One participant's share of a sequenced transaction.
+
+    Derived once, at admission, from the transaction's :class:`Route`;
+    the executor reads it instead of re-splitting the footprint, and
+    ``finish_txn`` drops it.
+    """
+
+    route: Route
+    # Local read keys, in sort-token order.
+    reads: Tuple[Key, ...]
+    # Local write keys (phase 5 filters the buffered writes by membership).
+    writes: AbstractSet[Key]
+    # Lock-manager shards holding this transaction's local locks.
+    shards: Sequence[int]
 
 
 class Scheduler:
@@ -89,8 +119,8 @@ class Scheduler:
         self.locks = self._lock_shards[0]
         # seq -> number of shards still holding ungranted locks.
         self._lock_pending: Dict[GlobalSeq, int] = {}
-        # seq -> shard indexes involved (for release).
-        self._txn_shards: Dict[GlobalSeq, List[int]] = {}
+        # seq -> this node's slice of every admitted, unfinished txn.
+        self.slices: Dict[GlobalSeq, LocalSlice] = {}
 
         # Epoch reassembly: epoch -> origin -> SubBatch.
         self._arrived: Dict[int, Dict[int, SubBatch]] = {}
@@ -170,24 +200,17 @@ class Scheduler:
         self._advance_epochs()
 
     def _advance_epochs(self) -> None:
-        num_origins = self.catalog.num_partitions
-        has_reconfig = self.catalog.has_reconfig
+        origins_at = self.catalog.origins_at
         while True:
             if self._pause_epoch is not None and self._next_epoch >= self._pause_epoch:
                 return
             per_epoch = self._arrived.get(self._next_epoch)
-            if has_reconfig:
-                # Elastic membership: the barrier waits for exactly the
-                # origins active at this epoch (a joining spare starts
-                # publishing at its join epoch, a retiring origin's last
-                # batch is retire_epoch - 1).
-                origins = self.catalog.origins_at(self._next_epoch)
-                if per_epoch is None or any(o not in per_epoch for o in origins):
-                    return
-            else:
-                origins = range(num_origins)
-                if per_epoch is None or len(per_epoch) < num_origins:
-                    return
+            # The barrier waits for exactly the origins active at this
+            # epoch (a joining spare starts publishing at its join
+            # epoch, a retiring origin's last batch is retire_epoch - 1).
+            origins = origins_at(self._next_epoch)
+            if per_epoch is None or any(o not in per_epoch for o in origins):
+                return
             del self._arrived[self._next_epoch]
             for origin in origins:
                 self._admission.extend(per_epoch[origin].txns)
@@ -203,96 +226,81 @@ class Scheduler:
         admission = self._admission
         tracing = self._tracing
         catalog = self.catalog
-        has_reconfig = catalog.has_reconfig
+        route_of = catalog.route
         mine = self.node_id.partition
         single_shard = len(self._lock_shards) == 1
         while admission:
             stxn = admission.popleft()
+            seq = stxn.seq
             if tracing:
-                self.tracer.mark(("admit", self.node_id, stxn.seq), self.sim.now)
+                self.tracer.mark(("admit", self.node_id, seq), self.sim.now)
             txn = stxn.txn
-            if has_reconfig:
-                participants = catalog.participants_at(txn, stxn.seq[0])
+            route = route_of(txn, seq[0])
+            if mine not in route.participants:
+                raise SchedulerError(
+                    f"{seq} dispatched to non-participant partition {mine}"
+                )
+            # This partition's slice, in sort-token order.
+            if len(route.participants) == 1:
+                reads, writes = txn.sorted_reads(), txn.sorted_writes()
+                write_set = txn.write_set
+            elif is_migration_txn(txn):
+                # A migration write-locks its full moving range on *both*
+                # sides: the source serializes the copy-out behind earlier
+                # local writers, the destination serializes every
+                # epoch >= flip transaction behind the copy-in.
+                reads, writes = (), txn.sorted_writes()
+                write_set = txn.write_set
             else:
-                participants = txn.participants(catalog)
-            if single_shard and len(participants) == 1:
-                # Fast path for the dominant case: sole participant on
-                # the single (paper-design) lock shard. The local
-                # footprint is the full footprint, so the per-key
-                # partition filter is skipped and the lock-request plan
-                # is built once per transaction and cached on it.
-                if mine not in participants:
-                    raise SchedulerError(
-                        f"{stxn.seq} dispatched to non-participant partition {mine}"
-                    )
-                plan = txn._lock_plan
-                if plan is None:
-                    plan = self._build_lock_plan(txn)
-                    object.__setattr__(txn, "_lock_plan", plan)
-                self.admitted += 1
-                self.outstanding += 1
-                self._lock_pending[stxn.seq] = 1
-                self._txn_shards[stxn.seq] = _SOLE_SHARD
-                # Admission CPU is charged per requested key of the raw
-                # footprint, exactly like the generic path.
-                units = len(txn.read_set) + len(txn.write_set)
-                self._shard_queues[0].append((stxn, units, None, None, plan))
-                if not self._shard_active[0]:
-                    self._shard_active[0] = True
-                    self.sim.process(self._shard_admission_loop(0))
-                continue
-            read_keys, write_keys = self.local_footprint(stxn)
-            if single_shard:
-                shards: Dict[int, List] = {0: [read_keys, write_keys]}
-            else:
-                shards = {}
-                for key in read_keys:
-                    shards.setdefault(self._shard_of(key), [[], []])[0].append(key)
-                for key in write_keys:
-                    shards.setdefault(self._shard_of(key), [[], []])[1].append(key)
+                writes = catalog.keys_on(txn.sorted_writes(), mine, seq[0])
+                if txn.read_set == txn.write_set:
+                    reads = writes
+                else:
+                    reads = catalog.keys_on(txn.sorted_reads(), mine, seq[0])
+                write_set = frozenset(writes)
             self.admitted += 1
             self.outstanding += 1
-            self._lock_pending[stxn.seq] = len(shards)
-            self._txn_shards[stxn.seq] = sorted(shards)
-            for index in sorted(shards):
-                shard_reads, shard_writes = shards[index]
-                units = len(shard_reads) + len(shard_writes)
-                self._shard_queues[index].append(
-                    (stxn, units, shard_reads, shard_writes, None)
-                )
-                if not self._shard_active[index]:
-                    self._shard_active[index] = True
-                    self.sim.process(self._shard_admission_loop(index))
+            if single_shard:
+                self._lock_pending[seq] = 1
+                self.slices[seq] = LocalSlice(route, reads, write_set, _SOLE_SHARD)
+                self._enqueue(0, stxn, reads, writes, write_set)
+                continue
+            by_shard: Dict[int, Tuple[List, List]] = {}
+            count = len(self._lock_shards)
+            for key in reads:
+                by_shard.setdefault(stable_hash(key) % count, ([], []))[0].append(key)
+            for key in writes:
+                by_shard.setdefault(stable_hash(key) % count, ([], []))[1].append(key)
+            shards = sorted(by_shard)
+            self._lock_pending[seq] = len(shards)
+            self.slices[seq] = LocalSlice(route, reads, write_set, shards)
+            for index in shards:
+                self._enqueue(index, stxn, *by_shard[index], write_set)
 
-    @staticmethod
-    def _build_lock_plan(txn) -> Tuple[Tuple[Any, ...], Tuple[Any, ...]]:
-        """The ``(write_keys, read_only_keys)`` halves, in acquire's order."""
-        writes = txn.sorted_writes()
-        reads = txn.sorted_reads()
+    def _enqueue(self, index: int, stxn: SequencedTxn, reads, writes, write_set) -> None:
+        """Queue one shard's lock requests for ``stxn``: the lock plan
+        (write keys, then read-only keys, each in sort-token order) and
+        the admission CPU units — one per requested key of the raw
+        footprint, so a key both read and written counts twice."""
         if reads is writes:
-            # read_set == write_set: every key takes a WRITE lock.
-            return (writes, ())
-        write_set = txn.write_set
-        return (writes, tuple(key for key in reads if key not in write_set))
-
-    def _shard_of(self, key) -> int:
-        if len(self._lock_shards) == 1:
-            return 0
-        return stable_hash(key) % len(self._lock_shards)
+            plan = (tuple(writes), ())
+        else:
+            plan = (tuple(writes), tuple(k for k in reads if k not in write_set))
+        self._shard_queues[index].append((stxn, len(reads) + len(writes), plan))
+        if not self._shard_active[index]:
+            self._shard_active[index] = True
+            self.sim.process(self._shard_admission_loop(index))
 
     def _shard_admission_loop(self, index: int):
         queue = self._shard_queues[index]
         shard = self._lock_shards[index]
         per_key_cpu = self.config.costs.lock_request_cpu
         while queue:
-            stxn, units, read_keys, write_keys, plan = queue.popleft()
+            stxn, units, plan = queue.popleft()
             cost = per_key_cpu * units
             if cost > 0:
                 yield self.sim.timeout(cost)
-            if plan is not None:
-                shard.acquire_plan(stxn, plan)
-            else:
-                shard.acquire(stxn, read_keys, write_keys)
+            shard.acquire_plan(stxn, plan)
         self._shard_active[index] = False
 
     def _on_shard_ready(self, stxn: SequencedTxn) -> None:
@@ -323,47 +331,6 @@ class Scheduler:
             active += shard.active_txns
             queued += shard.queued_requests
         return active, queued
-
-    def local_footprint(self, stxn: SequencedTxn):
-        """This partition's slice of the transaction's read/write sets."""
-        txn = stxn.txn
-        if self.catalog.has_reconfig:
-            return self._local_footprint_at(stxn)
-        if self.catalog.num_partitions == 1:
-            # Single-partition cluster: every key is local.
-            read_keys, write_keys = list(txn.read_set), list(txn.write_set)
-        else:
-            mine = self.node_id.partition
-            partition_of = self.catalog.partition_of
-            read_keys = [k for k in txn.read_set if partition_of(k) == mine]
-            write_keys = [k for k in txn.write_set if partition_of(k) == mine]
-        if not read_keys and not write_keys:
-            raise SchedulerError(
-                f"{stxn.seq} dispatched to non-participant partition {mine}"
-            )
-        return read_keys, write_keys
-
-    def _local_footprint_at(self, stxn: SequencedTxn):
-        """Epoch-aware local footprint under live reconfiguration.
-
-        A migration transaction locks its full moving range on *both*
-        sides: the source serializes the copy-out behind earlier local
-        writers, the destination serializes every epoch >= flip
-        transaction behind the copy-in.
-        """
-        txn = stxn.txn
-        if is_migration_txn(txn):
-            return [], list(txn.sorted_writes())
-        epoch = stxn.seq[0]
-        mine = self.node_id.partition
-        partition_of_at = self.catalog.partition_of_at
-        read_keys = [k for k in txn.read_set if partition_of_at(k, epoch) == mine]
-        write_keys = [k for k in txn.write_set if partition_of_at(k, epoch) == mine]
-        if not read_keys and not write_keys:
-            raise SchedulerError(
-                f"{stxn.seq} dispatched to non-participant partition {mine}"
-            )
-        return read_keys, write_keys
 
     # -- execution -----------------------------------------------------------
 
@@ -399,7 +366,7 @@ class Scheduler:
 
     def finish_txn(self, stxn: SequencedTxn, result: Any, passive: bool) -> None:
         """Called by the executor once this node's work for ``stxn`` is done."""
-        for index in self._txn_shards.pop(stxn.seq):
+        for index in self.slices.pop(stxn.seq).shards:
             self._lock_shards[index].release(stxn)
         self._mailbox.pop(stxn.seq, None)
         self._mailbox_waiters.pop(stxn.seq, None)

@@ -161,6 +161,29 @@ class TestBaselineCluster:
         with pytest.raises(ConfigError):
             BaselineCluster(config, workload=BankWorkload())
 
+    def test_rejects_admission_policy(self):
+        # The baseline has no sequencer front-end to admit or shed at;
+        # accepting the flag would silently run unthrottled.
+        config = ClusterConfig(
+            num_partitions=2, admission_policy="shed", admission_epoch_budget=2
+        )
+        with pytest.raises(ConfigError, match="admission_policy.*baseline"):
+            BaselineCluster(config, workload=BankWorkload())
+
+    def test_rejects_footprint_auditing(self):
+        config = ClusterConfig(num_partitions=2, audit_footprints=True)
+        with pytest.raises(ConfigError, match="audit_footprints.*baseline"):
+            BaselineCluster(config, workload=BankWorkload())
+
+    def test_engine_seam_rejects_ignored_flags(self):
+        from repro.engines import build_cluster
+
+        config = ClusterConfig(
+            num_partitions=2, engine="baseline", audit_footprints=True
+        )
+        with pytest.raises(ConfigError, match="audit_footprints"):
+            build_cluster(config, workload=BankWorkload())
+
     def test_deterministic_abort_not_retried(self):
         # Transfers that exceed balances abort deterministically and are
         # reported ABORTED (not RESTART) -> no retry storm.
