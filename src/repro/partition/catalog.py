@@ -113,9 +113,11 @@ class Catalog:
         initial = config.num_partitions if active is None else active
         self._origin_epochs: List[int] = [0]
         self._origin_sets: List[Tuple[int, ...]] = [tuple(range(initial))]
+        # Routing version v (v >= 1) starts at _override_epochs[v - 1];
+        # _override_maps[v] holds every key it moves. Version 0 is the
+        # static layout: it moves nothing.
         self._override_epochs: List[int] = []
-        self._override_maps: List[Dict[Key, int]] = []
-        self._overridden_keys: Set[Key] = set()
+        self._override_maps: List[Dict[Key, int]] = [{}]
         # Interned routes (see Route).
         self._routes: Dict[Route, Route] = {}
 
@@ -274,40 +276,39 @@ class Catalog:
         if self._override_epochs and effective_epoch == self._override_epochs[-1]:
             self._override_maps[-1] = {**self._override_maps[-1], **moves}
         else:
-            base = self._override_maps[-1] if self._override_maps else {}
             self._override_epochs.append(effective_epoch)
-            self._override_maps.append({**base, **moves})
-        self._overridden_keys.update(moves)
+            self._override_maps.append({**self._override_maps[-1], **moves})
 
     def routing_version_at(self, epoch: int) -> int:
         """Index of the routing version covering ``epoch`` (0 = static)."""
         return bisect_right(self._override_epochs, epoch)
 
+    def _moves_at(self, epoch: int) -> Dict[Key, int]:
+        """Every key moved off its static partition at ``epoch``."""
+        return self._override_maps[bisect_right(self._override_epochs, epoch)]
+
+    def _partitions_under(self, keys: FrozenSet[Key], moves: Dict[Key, int]) -> Set[int]:
+        """The partitions covering ``keys`` when ``moves`` is in force:
+        the static partitions of the keys not moved, through the cached
+        :meth:`partitions_of`, plus the destinations of those moved."""
+        out = self.partitions_of(keys - moves.keys())
+        out.update(moves[key] for key in moves.keys() & keys)
+        return out
+
     def keys_on(self, keys, partition: int, epoch: int) -> Tuple[Key, ...]:
         """The keys of ``keys`` held by ``partition`` at ``epoch``, in
         their given order (a participant's slice of a footprint)."""
-        if bisect_right(self._override_epochs, epoch):
-            partition_of_at = self.partition_of_at
-            return tuple(k for k in keys if partition_of_at(k, epoch) == partition)
+        moves = self._moves_at(epoch)
         partition_of = self.partition_of
-        return tuple(k for k in keys if partition_of(k) == partition)
+        return tuple(k for k in keys if moves.get(k, partition_of(k)) == partition)
 
     def partition_of_at(self, key: Key, epoch: int) -> int:
         """Partition holding ``key`` under the routing of ``epoch``."""
-        if key in self._overridden_keys:
-            idx = bisect_right(self._override_epochs, epoch) - 1
-            if idx >= 0:
-                dest = self._override_maps[idx].get(key)
-                if dest is not None:
-                    return dest
-        return self.partition_of(key)
+        return self._moves_at(epoch).get(key, self.partition_of(key))
 
     def partitions_of_at(self, keys, epoch: int) -> Set[int]:
         """The set of partitions covering ``keys`` at ``epoch``."""
-        if not self._override_epochs:
-            return self.partitions_of(keys)
-        partition_of_at = self.partition_of_at
-        return {partition_of_at(key, epoch) for key in keys}
+        return self._partitions_under(keys, self._moves_at(epoch))
 
     def route(self, txn, epoch: int) -> Route:
         """The :class:`Route` of ``txn`` sequenced in ``epoch``.
@@ -328,16 +329,14 @@ class Catalog:
             pair = frozenset((source, dest))
             route = Route(pair, pair, min(pair), frozenset((source,)))
         else:
+            moves = self._override_maps[version]
             read_set, write_set = txn.read_set, txn.write_set
-            if version:
-                reads = frozenset(self.partitions_of_at(read_set, epoch))
-                writes = frozenset(self.partitions_of_at(write_set, epoch))
-            else:
-                reads = frozenset(self.partitions_of(read_set))
-                writes = (
-                    reads if write_set == read_set
-                    else frozenset(self.partitions_of(write_set))
-                )
+            reads = frozenset(self._partitions_under(read_set, moves))
+            # One lookup serves both sets of a read-modify-write footprint.
+            writes = (
+                reads if write_set == read_set
+                else frozenset(self._partitions_under(write_set, moves))
+            )
             participants = reads if writes is reads else reads | writes
             if not participants:
                 raise ConfigError(f"transaction {txn.txn_id} has an empty footprint")

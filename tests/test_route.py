@@ -171,6 +171,39 @@ class TestRouteUnderReconfiguration:
         assert catalog.participants_at(txn, 9) == {1, 2}
         assert catalog.active_participants_at(txn, 4) == {0}
 
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        footprint=_footprints,
+        moves=st.dictionaries(
+            st.tuples(st.just("acct"), st.integers(0, PARTITIONS - 1), st.integers(0, 5)),
+            st.integers(0, PARTITIONS - 1),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_every_query_agrees_with_per_key_routing(self, footprint, moves):
+        reads, writes = footprint
+        catalog = self._cluster().catalog
+        catalog.arm_override(3, moves)
+        for epoch in (2, 3, 8):
+            def home(key):
+                return moves[key] if epoch >= 3 and key in moves else key[1]
+
+            for key in reads | writes:
+                assert catalog.partition_of_at(key, epoch) == home(key)
+            assert catalog.partitions_of_at(reads, epoch) == {home(k) for k in reads}
+            participants = {home(key) for key in reads | writes}
+            active = {home(key) for key in writes} or {min(participants)}
+            route = catalog.route(_txn(reads, writes), epoch)
+            assert (route.participants, route.active, route.reply, route.read_sources) == (
+                participants, active, min(active), {home(key) for key in reads},
+            )
+            ordered = sorted(reads | writes, key=sort_token)
+            for partition in range(PARTITIONS):
+                assert catalog.keys_on(ordered, partition, epoch) == tuple(
+                    key for key in ordered if home(key) == partition
+                )
+
     def test_migration_route_is_pinned_and_locks_full_range(self):
         cluster = self._cluster()
         catalog = cluster.catalog
